@@ -80,6 +80,9 @@ type inputs struct {
 
 	// rms are reference matchers, one per goroutine of answer.
 	rms [2]*refmatch.Matcher
+
+	faultMu     sync.Mutex
+	faultLogged map[string]bool
 }
 
 func buildInputs(sp spec, seed int64) (*inputs, error) {
@@ -340,6 +343,33 @@ func (in *inputs) buildJoin() {
 			}
 		}
 	}
+}
+
+// joinFaultNotes describes the join pairs the round-trip fault changes,
+// with the phoneme strings of the rows whose stored pname decodes
+// differently.
+func (in *inputs) joinFaultNotes() []string {
+	var out []string
+	note := func(kind string, pr [2]int) {
+		out = append(out, fmt.Sprintf("%s pair (%d, %d)", kind, pr[0], pr[1]))
+	}
+	for pr := range in.joinWantDB {
+		if !in.joinWant[pr] {
+			note("extra", pr)
+		}
+	}
+	for pr := range in.joinWant {
+		if !in.joinWantDB[pr] {
+			note("missing", pr)
+		}
+	}
+	sort.Strings(out)
+	ids := make([]int, 0, len(in.rt))
+	for id := range in.rt {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return append(out, in.diffNotes(ids, nil)...)
 }
 
 // spaced renders a phoneme string one phoneme at a time, so that /t/+/ʃ/

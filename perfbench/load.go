@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,6 +265,7 @@ func (in *inputs) check(t *tally, op stmtOp, body string, w *writer, tSend, tRec
 	case equalInts(ids, op.q.want):
 		return false
 	case op.witness && equalInts(ids, op.q.wantDB):
+		in.logFault(op.stmt, in.diffNotes(ids, op.q.want))
 		return true
 	}
 	t.bad("%s: answer differs from the reference on %s", op.stmt, strings.Join(in.diffNotes(ids, op.q.want), "; "))
@@ -294,6 +296,7 @@ func (in *inputs) checkJoin(t *tally, rows [][]int) bool {
 	case same(in.joinWant):
 		return false
 	case same(in.joinWantDB):
+		in.logFault(joinStmt, in.joinFaultNotes())
 		return true
 	}
 	var extra, missing []string
@@ -309,6 +312,21 @@ func (in *inputs) checkJoin(t *tally, rows [][]int) bool {
 	}
 	t.bad("join: %d pairs, reference %d; unexplained extra %v, missing %v", len(got), len(in.joinWant), extra, missing)
 	return false
+}
+
+// logFault logs a statement that failed because of the round-trip
+// fault, the first time it fails in a run.
+func (in *inputs) logFault(stmt string, notes []string) {
+	in.faultMu.Lock()
+	defer in.faultMu.Unlock()
+	if in.faultLogged[stmt] {
+		return
+	}
+	if in.faultLogged == nil {
+		in.faultLogged = map[string]bool{}
+	}
+	in.faultLogged[stmt] = true
+	fmt.Fprintf(os.Stderr, "perfbench: round-trip fault: %q answers differently from the reference on %s\n", stmt, strings.Join(notes, "; "))
 }
 
 // percentile is the nearest-rank percentile of xs (p in (0,1]).

@@ -56,7 +56,7 @@ const (
 	// and starts ceil(setupRows/rows) times, at least 3, and setup_s is
 	// the median. Small tables set up in a tenth of a second, where one
 	// slow fsync shifts a median of three.
-	setupRows = 100_000
+	setupRows = 60_000
 )
 
 type metric struct {
@@ -74,7 +74,7 @@ type result struct {
 func main() {
 	workload := flag.String("workload", "", "scan, qgram, join or mixed")
 	seed := flag.Int64("seed", 1, "input seed")
-	seconds := flag.Float64("seconds", 20, "measured seconds (rounded up to whole rounds)")
+	seconds := flag.Float64("seconds", 18, "measured seconds (rounded up to whole rounds)")
 	trace := flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 	work := flag.String("work", filepath.Join(".bench_build", "perfbench"), "directory for databases and trace files")
 	faults := flag.Bool("faults", false, "only list the statements the pname round-trip fault affects at this seed")

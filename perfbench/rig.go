@@ -33,7 +33,7 @@ type rig struct {
 // checkpoints: 2 MiB instead of the engine's 4 MiB, polled every 250 ms
 // instead of lexequald's 30 s. At about 15 KiB of WAL per commit the
 // mixed writer then sees a checkpoint (about 130 ms with its version
-// GC) every 130 commits or so, three to four per 20-s run. Under the
+// GC) every 130 commits or so, three to four per 18-s run. Under the
 // defaults a run would see none; with many more, checkpoints would
 // cover about a tenth of a run and read_p90_ms would flip between
 // reads that overlap one and reads that do not.
