@@ -6,7 +6,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
+.PHONY: all build vet lint lint-json lockgraph test race fuzz-smoke bench bench-smoke perfbench-check serve-smoke repl-smoke crash-smoke mvcc-smoke ci clean
 
 all: build
 
@@ -97,7 +97,14 @@ mvcc-smoke:
 	$(GO) test -race -count=1 -run 'TestMVCCSmoke|TestSelectNeverBlocksBehindWriter|TestWriteWriteConflictAbortsAndRetries' ./internal/sql/
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/db/
 
-ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke
+# Build, vet and unit-test the wire-to-kernel benchmark (perfbench/,
+# its own module using this one through `replace lexequal => ../`, so
+# it builds offline): an API change that breaks the benchmark fails
+# here instead of in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet build lint race fuzz-smoke serve-smoke repl-smoke crash-smoke mvcc-smoke bench-smoke perfbench-check
 
 clean:
 	$(GO) clean ./...

@@ -69,6 +69,9 @@ func (b *Batch) Len() int { return b.phon.Len() }
 // View returns row i's phoneme string (nil for zero-length rows).
 func (b *Batch) View(i int) phoneme.String { return b.phon.View(i) }
 
+// Weak returns row i's weak (glottal) phoneme count.
+func (b *Batch) Weak(i int) int { return int(b.wk[i]) }
+
 // ProjLen returns row i's signature-projection length; valid only when
 // the batch was built with the prefilter columns (sigQ > 0).
 func (b *Batch) ProjLen(i int) int { return int(b.plen[i]) }

@@ -158,7 +158,7 @@ func (m *BatchMatcher) Match(b *Batch, i int, ln *Lane) bool {
 // for less than a unit of cost — each glottal of either string accounts
 // for at most one such unit, so the slacked budget is sound. The
 // q-gram strategy's exact positional filters budget with the same slack
-// (Operator.SigBudget); this filter is merely the coarser, batched
+// (GramFilter.Budget); this filter is merely the coarser, batched
 // form of it.
 type SigFilter struct {
 	qlen  int

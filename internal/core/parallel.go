@@ -54,8 +54,6 @@ const MorselSize = 256
 
 // Lane is the per-worker state of a morsel scan: a private DP scratch
 // and a private Stats accumulator, merged once when the pool drains.
-// Exported so other execution layers (the db verification stage) can
-// reuse the scheduler.
 type Lane struct {
 	Scratch *editdist.Scratch
 	Stats   Stats
@@ -84,14 +82,14 @@ func (ln *Lane) harvest() Stats {
 	return ln.Stats
 }
 
-// RunMorsels partitions [0, n) into fixed-size morsels consumed by a
-// pool of workers and returns the per-morsel outputs in morsel order
-// plus the merged Stats. process must treat (lo, hi) as its exclusive
+// runStage partitions [0, n) into fixed-size morsels consumed by a
+// pool of workers and returns the merged outputs and Stats (see
+// mergeChunks). process must treat (lo, hi) as its exclusive
 // slice of the candidate range and must only touch shared state
 // read-only; per-worker mutable state lives in the lane. With one
 // worker everything runs inline on the calling goroutine, so the serial
 // strategies are literally the parallel ones at width 1.
-func RunMorsels[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) ([][]T, Stats) {
+func runStage[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) ([]T, Stats) {
 	numMorsels := (n + MorselSize - 1) / MorselSize
 	out := make([][]T, numMorsels)
 	if workers > numMorsels {
@@ -103,7 +101,7 @@ func RunMorsels[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) (
 			lo, hi := morselBounds(m, n)
 			out[m] = process(&ln, lo, hi)
 		}
-		return out, ln.harvest()
+		return mergeChunks(out, ln.harvest())
 	}
 	var next atomic.Int64
 	lanes := make([]Lane, workers)
@@ -128,7 +126,7 @@ func RunMorsels[T any](n, workers int, process func(ln *Lane, lo, hi int) []T) (
 	for i := range lanes {
 		st.Add(lanes[i].harvest())
 	}
-	return out, st
+	return mergeChunks(out, st)
 }
 
 func morselBounds(m, n int) (lo, hi int) {
@@ -140,19 +138,21 @@ func morselBounds(m, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// MergeChunks concatenates per-morsel outputs in morsel order, so the
-// merged slice is independent of which worker ran which morsel.
-func MergeChunks[T any](chunks [][]T) []T {
+// mergeChunks concatenates per-morsel outputs in morsel order, so the
+// merged slice is independent of which worker ran which morsel, and
+// sets the stage's Matches to its length.
+func mergeChunks[T any](chunks [][]T, st Stats) ([]T, Stats) {
 	total := 0
 	for _, c := range chunks {
 		total += len(c)
 	}
+	st.Matches = total
 	if total == 0 {
-		return nil // match the serial strategies' nil empty result
+		return nil, st // match the serial strategies' nil empty result
 	}
 	out := make([]T, 0, total)
 	for _, c := range chunks {
 		out = append(out, c...)
 	}
-	return out
+	return out, st
 }

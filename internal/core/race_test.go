@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
 )
 
@@ -92,6 +93,47 @@ func TestOperatorConcurrentMatch(t *testing.T) {
 				}
 			}
 		}()
+	}
+	wg.Wait()
+}
+
+// TestCorpusConcurrentFirstProbe starts q-gram and indexed selections
+// from several goroutines on a corpus built by NewCorpusPhonemes, whose
+// probe indexes do not exist until the first such query: whichever
+// goroutine builds them, every answer must equal a serial run's on an
+// eagerly indexed corpus.
+func TestCorpusConcurrentFirstProbe(t *testing.T) {
+	op := MustNew(Options{})
+	texts := catalog()
+	eager, err := op.NewCorpus(texts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phons := make([]phoneme.String, len(texts))
+	for i := range texts {
+		phons[i] = eager.Phonemes(i)
+	}
+	lazy, err := op.NewCorpusPhonemes(texts, phons, DefaultQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strats := []Strategy{QGram, Indexed}
+	want := make([][]int, len(strats))
+	for i, s := range strats {
+		if want[i], _, err = eager.Select(texts[0], 0.3, nil, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, _, err := lazy.Select(texts[0], 0.3, nil, strats[i], Parallel(2))
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want[i]) {
+				t.Errorf("%v select = %v, %v; want %v", strats[i], got, err, want[i])
+			}
+		}(g % len(strats))
 	}
 	wg.Wait()
 }

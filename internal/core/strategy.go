@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
 	"lexequal/internal/editdist"
 	"lexequal/internal/phoneme"
@@ -132,14 +132,16 @@ type Corpus struct {
 	batch   Batch  // columnar phoneme rows + kernel/prefilter columns
 	proj    Column // signature projections (see soundex.Encoder.Project)
 	skipped []int  // rows whose language had no converter (NORESOURCE rows)
-
-	grams   map[string][]posting // q-gram inverted index
-	grouped map[soundex.GroupedID][]int
 	encoder *soundex.Encoder
 
+	// The probe indexes, built by index on first use: a naive scan or
+	// join reads none of them, and they cost several times the batch.
+	indexOnce sync.Once
+	grams     map[string][]posting // q-gram inverted index
+	grouped   map[soundex.GroupedID][]int
 	// sigGrams caches each row's positional q-gram signature (key +
-	// position over the projection), extracted once at corpus build so
-	// join probes never re-extract or re-render gram keys per pair.
+	// position over the projection), extracted once so join probes never
+	// re-extract or re-render gram keys per pair.
 	sigGrams [][]sigGram
 }
 
@@ -169,18 +171,44 @@ func (op *Operator) NewCorpus(texts []Text) (*Corpus, error) {
 
 // NewCorpusQ is NewCorpus with an explicit q-gram length (q >= 2).
 func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
+	phons := make([]phoneme.String, len(texts))
+	var skipped []int
+	for i, t := range texts {
+		if !op.registry.Has(t.Lang) {
+			skipped = append(skipped, i)
+			continue
+		}
+		p, err := op.Transform(t.Value, t.Lang)
+		if err != nil {
+			return nil, fmt.Errorf("core: row %d (%s): %w", i, t, err)
+		}
+		phons[i] = p
+	}
+	c, err := op.NewCorpusPhonemes(texts, phons, q)
+	if err != nil {
+		return nil, err
+	}
+	c.skipped = skipped
+	// A corpus built here serves many queries: pay for the probe
+	// indexes up front rather than in the first q-gram or indexed query.
+	c.index()
+	return c, nil
+}
+
+// NewCorpusPhonemes builds a corpus over phoneme strings transformed
+// elsewhere (a table's stored pname column): texts supply each row's
+// value and language, phons[i] its transcription. A zero-length row is
+// kept but never matches. q is the q-gram length (q >= 2). The q-gram
+// and phonetic indexes are built by the first strategy that probes
+// them.
+func (op *Operator) NewCorpusPhonemes(texts []Text, phons []phoneme.String, q int) (*Corpus, error) {
 	if q < 2 {
 		return nil, fmt.Errorf("core: q must be >= 2, got %d", q)
 	}
-	c := &Corpus{
-		op:       op,
-		q:        q,
-		texts:    texts,
-		grams:    make(map[string][]posting),
-		grouped:  make(map[soundex.GroupedID][]int),
-		encoder:  op.encoder,
-		sigGrams: make([][]sigGram, len(texts)),
+	if len(phons) != len(texts) {
+		return nil, fmt.Errorf("core: %d phoneme strings for %d texts", len(phons), len(texts))
 	}
+	c := &Corpus{op: op, q: q, texts: texts, encoder: op.encoder}
 	// The columnar batch is materialized once per corpus with every
 	// column the strategies can consume — transforms, weak counts, kernel
 	// signatures (when the cost model bit-parallelizes), projected
@@ -194,16 +222,11 @@ func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
 	}
 	c.batch.plen = make([]int32, len(texts))
 	c.batch.gsig = make([]uint64, len(texts))
-	for i, t := range texts {
-		if !op.registry.Has(t.Lang) {
-			c.skipped = append(c.skipped, i)
+	for i, p := range phons {
+		if len(p) == 0 {
 			c.batch.phon.Append(nil)
 			c.proj.Append(nil)
 			continue
-		}
-		p, err := op.Transform(t.Value, t.Lang)
-		if err != nil {
-			return nil, fmt.Errorf("core: row %d (%s): %w", i, t, err)
 		}
 		c.batch.phon.Append(p)
 		c.batch.wk[i] = int32(editdist.WeakCount(p))
@@ -215,76 +238,41 @@ func (op *Operator) NewCorpusQ(texts []Text, q int) (*Corpus, error) {
 		// cluster representatives). Under the clustered cost model the
 		// cheap edits — intra-cluster substitutions and glottal indels —
 		// leave the projection untouched, and every edit that does
-		// change it costs at least one full unit, so an edit-cost
-		// budget of k admits at most k projected-space unit edits: the
-		// exact premise of the three q-gram filters.
+		// change it costs at least one full unit (GramFilter.Budget
+		// prices the one exception), so an edit-cost budget of k admits
+		// at most k projected-space unit edits: the exact premise of the
+		// three q-gram filters.
 		pr := c.encoder.Project(p)
 		c.proj.Append(pr)
 		c.batch.plen[i] = int32(len(pr))
 		c.batch.gsig[i] = qgram.Signature(pr, q)
-		grams := qgram.Extract(pr, q)
-		c.sigGrams[i] = make([]sigGram, len(grams))
-		for gi, g := range grams {
-			key := g.Key()
-			c.grams[key] = append(c.grams[key], posting{row: i, pos: g.Pos})
-			c.sigGrams[i][gi] = sigGram{key: key, pos: g.Pos}
-		}
-		c.grouped[c.encoder.Encode(p)] = append(c.grouped[c.encoder.Encode(p)], i)
 	}
 	return c, nil
 }
 
-// SigBudget converts a clustered-cost bound into a sound budget on
-// projected-space unit edits for one candidate pair; weak is the total
-// weak-phoneme count of the two strings. Most projection-changing edits
-// cost at least one full unit (the cost model's discounted-indel set
-// equals the projection's drop set), but the default cluster set places
-// glottals in the same cluster as dorsal obstruents, so an ICSC
-// substitution between a glottal and a strong clustermate changes the
-// projection for less than a unit — the /ha/~/ka/ pair SigFilter's doc
-// walks through. Each such edit consumes a distinct weak occurrence of
-// one of the two strings, so bound + weak is sound (the same slack
-// SigFilter applies); independently, SigBudgetCap bounds the budget
-// without reference to the candidate. The tighter of the two applies.
-func (op *Operator) SigBudget(bound float64, weak int) float64 {
-	b := bound + float64(weak)
-	if c := op.SigBudgetCap(bound); c < b {
-		b = c
-	}
-	return b
-}
-
-// SigBudgetCap is the candidate-independent ceiling on the projected-
-// space edit budget: every edit that changes the signature projection
-// costs at least the model's floor (cross-cluster substitutions and
-// strong indels cost 1, glottal↔strong intra-cluster substitutions cost
-// ICSC; discounted glottal indels never change the projection because
-// the projection drops glottals), so a pair within clustered cost
-// `bound` admits at most bound/floor projected unit edits. An ICSC of
-// zero prices some projection-changing edits free, so no finite cap
-// exists there. Plans use the cap where the candidate (and hence its
-// weak count) is not yet in hand: probe-time pruning and the decision
-// whether zero-gram candidates must still be swept.
-func (op *Operator) SigBudgetCap(bound float64) float64 {
-	switch cm := op.cost.(type) {
-	case editdist.Clustered:
-		if cm.ICSC >= 1 {
-			return bound
+// index builds the probe indexes on first use; the strategies call it
+// on the calling goroutine before their morsel pool starts, after which
+// the indexes are read-only.
+func (c *Corpus) index() {
+	c.indexOnce.Do(func() {
+		c.grams = make(map[string][]posting)
+		c.grouped = make(map[soundex.GroupedID][]int)
+		c.sigGrams = make([][]sigGram, len(c.texts))
+		for i := range c.texts {
+			p := c.batch.phon.View(i)
+			if p == nil {
+				continue
+			}
+			grams := qgram.Extract(c.proj.View(i), c.q)
+			c.sigGrams[i] = make([]sigGram, len(grams))
+			for gi, g := range grams {
+				key := g.Key()
+				c.grams[key] = append(c.grams[key], posting{row: i, pos: g.Pos})
+				c.sigGrams[i][gi] = sigGram{key: key, pos: g.Pos}
+			}
+			c.grouped[c.encoder.Encode(p)] = append(c.grouped[c.encoder.Encode(p)], i)
 		}
-		if cm.ICSC == 0 {
-			return math.Inf(1)
-		}
-		if c := bound / cm.ICSC; c < 1e12 {
-			return c
-		}
-		// An absurdly small ICSC yields a quotient with no filtering
-		// power (and unsafe to truncate to int); treat it as unbounded.
-		return math.Inf(1)
-	default:
-		// Unit charges 1 per projection-changing edit; other models keep
-		// the historical bare bound (their floor is not analyzable here).
-		return bound
-	}
+	})
 }
 
 // Len returns the number of rows.
@@ -324,123 +312,68 @@ func (c *Corpus) Select(query Text, threshold float64, langs LangSet, strat Stra
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	o := resolveOpts(opts)
+	// The strategies differ only in their candidate source and filter
+	// chain; all end in the shared filter+verify stage.
+	n := len(c.texts)
+	row := func(i int) int { return c.keep(i, langs) }
+	var chk Check
 	switch strat {
 	case Naive:
-		return c.selectNaive(qp, threshold, langs, o)
+		// Every row, behind the batched signature prefilter (a couple of
+		// word operations against precomputed batch columns) — the naive
+		// plan's Candidates undercount Rows by exactly PrunedSig.
+		sf := c.op.NewSigFilter(qp, threshold, c.q)
+		chk.Sig = &sf
 	case QGram:
-		return c.selectQGram(qp, threshold, langs, o)
+		chk.Pre = c.gramCheck(qp, threshold)
 	case Indexed:
-		return c.selectIndexed(qp, threshold, langs, o)
+		// The Figure 15 plan: the rows sharing the query's grouped
+		// phoneme identifier. Fast, with false dismissals for matches
+		// whose edits cross cluster boundaries.
+		c.index()
+		group := c.grouped[c.encoder.Encode(qp)]
+		n = len(group)
+		row = func(i int) int { return c.keep(group[i], langs) }
 	default:
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}
-}
-
-// selectNaive scans every row, but runs the batched signature prefilter
-// (a couple of word operations against precomputed batch columns)
-// before paying for edit-distance verification — the naive plan's
-// Candidates therefore undercount Rows by exactly PrunedSig.
-func (c *Corpus) selectNaive(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
-	sf := c.op.NewSigFilter(qp, e, c.q)
-	chunks, st := RunMorsels(len(c.texts), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for i := lo; i < hi; i++ {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			if !sf.Admit(&c.batch, i, &ln.Stats) {
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
+	out, st := c.op.VerifyStage(qp, threshold, &c.batch, n, row, chk, opts...)
 	return out, st, nil
 }
 
-// selectQGram implements the Figure 14 plan: the edit-distance budget is
-// k = e·|query| (the paper uses the query length in all three filter
-// predicates) slacked per row by the pair's weak counts (SigBudget),
-// the inverted index supplies position-filtered gram match counts, and
-// candidates passing the length and count filters are verified with the
-// UDF. The probe phase runs once; the filter+verify scan is
-// morsel-parallel (counts is read-only by then).
-func (c *Corpus) selectQGram(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	base := e * float64(len(qp))
-	qweak := editdist.WeakCount(qp)
-	kRow := func(i int) float64 { return c.op.SigBudget(base, qweak+int(c.batch.wk[i])) }
-	qproj := c.encoder.Project(qp)
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
+// keep maps corpus row r to itself when it can take part in a
+// selection (non-empty, language in langs) and to -1 otherwise.
+func (c *Corpus) keep(r int, langs LangSet) int {
+	if c.batch.phon.RowLen(r) == 0 || !langs.Contains(c.texts[r].Lang) {
+		return -1
+	}
+	return r
+}
+
+// gramCheck is the Figure 14 filter chain for a selection: the inverted
+// index supplies gram match counts, position-filtered at each row's
+// pair budget (GramFilter.Budget), and the pre-check applies the length
+// and count filters. The probe runs once, here; the returned check only
+// reads counts, so the morsel pool may share it.
+func (c *Corpus) gramCheck(qp phoneme.String, e float64) func(i int, st *Stats) bool {
+	c.index()
+	gf := c.op.NewGramFilter(qp, e, c.q)
+	kRow := func(i int) float64 { return gf.Budget(int(c.batch.wk[i])) }
 	counts := make(map[int]int)
-	for _, g := range qgram.Extract(qproj, c.q) {
+	for _, g := range gf.Grams() {
 		for _, p := range c.grams[g.Key()] {
 			if qgram.PositionOK(g.Pos, p.pos, kRow(p.row)) {
 				counts[p.row]++
 			}
 		}
 	}
-	chunks, st := RunMorsels(len(c.texts), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for i := lo; i < hi; i++ {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			k := kRow(i)
-			if !qgram.LengthOK(len(qproj), c.proj.RowLen(i), k) {
-				ln.Stats.PrunedLength++
-				continue
-			}
-			need := qgram.CountThreshold(len(qproj), c.proj.RowLen(i), c.q, k)
-			if need > 0 && counts[i] < need {
-				ln.Stats.PrunedCount++
-				continue
-			}
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
-	return out, st, nil
+	return func(i int, st *Stats) bool { return gf.Admit(c.proj.RowLen(i), kRow(i), counts[i], st) }
 }
 
-// selectIndexed implements the Figure 15 plan: probe the grouped-
-// phoneme-identifier index and verify the (few) rows sharing the
-// query's cluster signature. Fast, with false dismissals for matches
-// whose edits cross cluster boundaries. The posting list is morseled
-// like any other candidate range.
-func (c *Corpus) selectIndexed(qp phoneme.String, e float64, langs LangSet, o execOpts) ([]int, Stats, error) {
-	group := c.grouped[c.encoder.Encode(qp)]
-	pm := c.op.NewBatchMatcher(qp, e, o.kernel)
-	chunks, st := RunMorsels(len(group), o.workers, func(ln *Lane, lo, hi int) []int {
-		var out []int
-		for _, i := range group[lo:hi] {
-			if c.batch.phon.RowLen(i) == 0 || !langs.Contains(c.texts[i].Lang) {
-				continue
-			}
-			ln.Stats.Rows++
-			ln.Stats.Candidates++
-			if pm.Match(&c.batch, i, ln) {
-				out = append(out, i)
-			}
-		}
-		return out
-	})
-	out := MergeChunks(chunks)
-	st.Matches = len(out)
-	return out, st, nil
+// pairable reports whether a join considers row r for a probe row in
+// language lang: r is non-empty and, when diffLang, of another language.
+func (c *Corpus) pairable(r int, diffLang bool, lang script.Language) bool {
+	return c.batch.phon.RowLen(r) > 0 && !(diffLang && c.texts[r].Lang == lang)
 }
 
 // Pair is one result of a join: row indexes into the left and right
@@ -473,41 +406,35 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 	if !left.op.CostEqual(right.op) {
 		kern = KernelScalar
 	}
-	var probe func(ln *Lane, lo, hi int) []Pair
+	// Every shape walks the left rows on the morsel pool with a
+	// lane-private matcher re-prepared per probe row; probeRow appends
+	// the matching pairs of left row l. A pair is considered (counted)
+	// only when the right row is non-empty and, if requested, of another
+	// language.
+	var probeRow func(ln *Lane, pm *BatchMatcher, l int, lp phoneme.String, out []Pair) []Pair
+	verify := func(ln *Lane, pm *BatchMatcher, chk Check, l, r int, out []Pair) []Pair {
+		if right.pairable(r, requireDifferentLang, left.texts[l].Lang) && chk.verify(pm, &right.batch, r, ln) {
+			out = append(out, Pair{Left: l, Right: r})
+		}
+		return out
+	}
 	switch strat {
 	case Naive:
 		// The batched signature prefilter needs the probe projection and
 		// the right batch's signature columns to come from one encoder
 		// and cost model; a shared operator guarantees both.
 		useSig := left.op == right.op
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				var sf SigFilter
-				if useSig {
-					sf = left.op.NewSigFilter(lp, threshold, right.q)
-				}
-				for r := range right.texts {
-					if right.batch.phon.RowLen(r) == 0 {
-						continue
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						continue
-					}
-					ln.Stats.Rows++
-					if useSig && !sf.Admit(&right.batch, r, &ln.Stats) {
-						continue
-					}
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
+		probeRow = func(ln *Lane, pm *BatchMatcher, l int, lp phoneme.String, out []Pair) []Pair {
+			var chk Check
+			if useSig {
+				sf := left.op.NewSigFilter(lp, threshold, right.q)
+				chk.Sig = &sf
+			}
+			// The hot loop of every naive join, so verify is inlined.
+			lang := left.texts[l].Lang
+			for r := range right.texts {
+				if right.pairable(r, requireDifferentLang, lang) && chk.verify(pm, &right.batch, r, ln) {
+					out = append(out, Pair{Left: l, Right: r})
 				}
 			}
 			return out
@@ -517,6 +444,8 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 		// lengths agree (always, for a self-join), so no per-probe gram
 		// extraction or key rendering happens on the hot path.
 		cached := left.q == right.q
+		left.index()
+		right.index()
 		// Right rows ordered by weak count (descending): the zero-gram
 		// sweep below visits rows in this order and stops as soon as the
 		// count filter regains power, so glottal-free corpora pay nothing.
@@ -531,120 +460,73 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 			}
 			return sweepOrder[a] < sweepOrder[b]
 		})
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				lplen := left.proj.RowLen(l)
-				// Budgets are per pair (SigBudget slacks by both weak
-				// counts) under the LEFT operator's cost model — the model
-				// the verification runs under.
-				base := threshold * float64(len(lp))
-				kPair := func(r int) float64 { return left.op.SigBudget(base, int(left.batch.wk[l])+int(right.batch.wk[r])) }
-				counts := make(map[int]int)
-				if cached {
-					ln.Stats.SigCacheHits++
-					for _, g := range left.sigGrams[l] {
-						for _, p := range right.grams[g.key] {
-							if qgram.PositionOK(g.pos, p.pos, kPair(p.row)) {
-								counts[p.row]++
-							}
-						}
-					}
-				} else {
-					for _, g := range qgram.Extract(left.proj.View(l), right.q) {
-						for _, p := range right.grams[g.Key()] {
-							if qgram.PositionOK(g.Pos, p.pos, kPair(p.row)) {
-								counts[p.row]++
-							}
-						}
+		probeRow = func(ln *Lane, pm *BatchMatcher, l int, lp phoneme.String, out []Pair) []Pair {
+			// Budgets are per pair under the LEFT operator's cost model —
+			// the model the verification runs under.
+			gf := left.op.NewGramFilter(lp, threshold, right.q)
+			kPair := func(r int) float64 { return gf.Budget(int(right.batch.wk[r])) }
+			counts := make(map[int]int)
+			tally := func(key string, pos int) {
+				for _, p := range right.grams[key] {
+					if qgram.PositionOK(pos, p.pos, kPair(p.row)) {
+						counts[p.row]++
 					}
 				}
-				tryPair := func(r, cnt int) {
-					if right.batch.phon.RowLen(r) == 0 {
-						return
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						return
-					}
-					ln.Stats.Rows++
-					k := kPair(r)
-					if !qgram.LengthOK(lplen, right.proj.RowLen(r), k) {
-						ln.Stats.PrunedLength++
-						return
-					}
-					need := qgram.CountThreshold(lplen, right.proj.RowLen(r), right.q, k)
-					if need > 0 && cnt < need {
-						ln.Stats.PrunedCount++
-						return
-					}
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
+			}
+			if cached {
+				ln.Stats.SigCacheHits++
+				for _, g := range left.sigGrams[l] {
+					tally(g.key, g.pos)
 				}
-				for r, cnt := range counts {
-					tryPair(r, cnt)
+			} else {
+				for _, g := range gf.Grams() {
+					tally(g.Key(), g.Pos)
 				}
-				// Rows sharing no position-compatible gram can still be
-				// true matches when the count filter has no power for the
-				// pair (short strings, or weak-count slack swallowing the
-				// whole budget). Sweep them only in that regime: rows in
-				// descending weak order, stopping once the count filter
-				// regains power (need is monotone in the row's weak count,
-				// and CountThreshold's second argument 0 selects the
-				// admissible length that minimizes it).
-				capK := left.op.SigBudgetCap(base)
-				if math.IsInf(capK, 1) || qgram.CountThreshold(lplen, 0, right.q, capK) <= 0 {
-					for _, r := range sweepOrder {
-						if qgram.CountThreshold(lplen, 0, right.q, kPair(r)) > 0 {
-							break
-						}
-						if _, seen := counts[r]; !seen {
-							tryPair(r, 0)
-						}
+			}
+			chk := Check{Pre: func(r int, st *Stats) bool {
+				return gf.Admit(right.proj.RowLen(r), kPair(r), counts[r], st)
+			}}
+			for r := range counts {
+				out = verify(ln, pm, chk, l, r, out)
+			}
+			// Rows sharing no position-compatible gram can still be true
+			// matches when the count filter has no power for the pair:
+			// sweep them in descending weak order, stopping once it
+			// regains power.
+			if gf.MinShared() <= 0 {
+				for _, r := range sweepOrder {
+					if !gf.ZeroGramOK(int(right.batch.wk[r])) {
+						break
+					}
+					if _, seen := counts[r]; !seen {
+						out = verify(ln, pm, chk, l, r, out)
 					}
 				}
 			}
 			return out
 		}
 	case Indexed:
-		probe = func(ln *Lane, lo, hi int) []Pair {
-			pm := left.op.NewLaneMatcher(ln, kern)
-			var out []Pair
-			for l := lo; l < hi; l++ {
-				lp := left.batch.phon.View(l)
-				if lp == nil {
-					continue
-				}
-				pm.SetPattern(lp, threshold)
-				id := right.encoder.Encode(lp)
-				for _, r := range right.grouped[id] {
-					if right.batch.phon.RowLen(r) == 0 {
-						continue
-					}
-					if requireDifferentLang && left.texts[l].Lang == right.texts[r].Lang {
-						continue
-					}
-					ln.Stats.Rows++
-					ln.Stats.Candidates++
-					if pm.Match(&right.batch, r, ln) {
-						out = append(out, Pair{Left: l, Right: r})
-					}
-				}
+		right.index()
+		probeRow = func(ln *Lane, pm *BatchMatcher, l int, lp phoneme.String, out []Pair) []Pair {
+			for _, r := range right.grouped[right.encoder.Encode(lp)] {
+				out = verify(ln, pm, Check{}, l, r, out)
 			}
 			return out
 		}
 	default:
 		return nil, Stats{}, fmt.Errorf("core: unknown strategy %v", strat)
 	}
-	chunks, st := RunMorsels(len(left.texts), o.workers, probe)
-	out := MergeChunks(chunks)
+	out, st := runStage(len(left.texts), o.workers, func(ln *Lane, lo, hi int) []Pair {
+		pm := left.op.NewLaneMatcher(ln, kern)
+		var out []Pair
+		for l := lo; l < hi; l++ {
+			if lp := left.batch.phon.View(l); lp != nil {
+				pm.SetPattern(lp, threshold)
+				out = probeRow(ln, pm, l, lp, out)
+			}
+		}
+		return out
+	})
 	// The q-gram strategy discovers candidates in hash order; normalize
 	// so all strategies return deterministically ordered results.
 	sort.Slice(out, func(i, j int) bool {
@@ -653,7 +535,6 @@ func Join(left, right *Corpus, threshold float64, requireDifferentLang bool, str
 		}
 		return out[i].Right < out[j].Right
 	})
-	st.Matches = len(out)
 	return out, st, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lexequal/internal/core"
+	"lexequal/internal/phoneme"
 	"lexequal/internal/script"
 	"lexequal/internal/ttp"
 )
@@ -266,4 +267,34 @@ func TestRoundTripDistanceBounded(t *testing.T) {
 	if rate := float64(bad) / float64(total); rate > 0.10 {
 		t.Errorf("%.1f%% of same-tag pairs exceed threshold 0.30 (%d of %d)", 100*rate, bad, total)
 	}
+}
+
+// TestSpellingRoundTripsNames decodes the phoneme Spelling of every
+// lexicon entry and of the full generated set (the stored pname form):
+// each must read back as the transform, which plain IPA fails for the
+// names with /t/+/ʃ/ or /t/+/s/.
+func TestSpellingRoundTripsNames(t *testing.T) {
+	lex := buildLex(t)
+	op := core.MustNew(core.Options{})
+	check := func(set string, entries []Entry) {
+		t.Helper()
+		fused := 0
+		for _, e := range entries {
+			p, err := op.Transform(e.Text.Value, e.Text.Lang)
+			if err != nil {
+				continue // NORESOURCE: stored as NULL
+			}
+			if !phoneme.ParseLenient(p.IPA()).Equal(p) {
+				fused++
+			}
+			if got := phoneme.ParseLenient(p.Spelling()); !got.Equal(p) {
+				t.Fatalf("%s %v: Spelling %q decodes to %v, want %v", set, e.Text, p.Spelling(), got, p)
+			}
+		}
+		if fused == 0 {
+			t.Errorf("%s: no name's plain IPA fuses; expected the /t/+/ʃ/ names", set)
+		}
+	}
+	check("lexicon", lex.Entries)
+	check("generated", Generate(lex, DefaultGeneratedSize))
 }

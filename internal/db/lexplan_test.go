@@ -396,3 +396,76 @@ func TestJoinKernelCrossModel(t *testing.T) {
 		t.Errorf("cross-model join rows differ from same-model join")
 	}
 }
+
+// TestStoredPnameWitness pins the stored-pname round trip: RobertSharon
+// transcribes with /t/+/ʃ/, which plain IPA decodes as /tʃ/, and under
+// that misreading the naive and q-gram plans returned it for राजरशैरान
+// at 0.25 although the matcher (reference distance 2.75 > 2.5) says no.
+func TestStoredPnameWitness(t *testing.T) {
+	d := openDB(t)
+	op := core.MustNew(core.Options{})
+	witness := core.Text{Value: "RobertSharon", Lang: script.English}
+	query := core.Text{Value: "राजरशैरान", Lang: script.Hindi}
+	cfg, err := CreateNameTable(d, "names", op, []core.Text{witness, query, {Value: "Nehru", Lang: script.English}},
+		NameTableSpec{WithAux: true, WithIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := op.Match(witness, query, 0.25); err != nil || res != core.False {
+		t.Fatalf("matcher: %v ~ %v = %v, %v; want false", witness, query, res, err)
+	}
+	for name, node := range map[string]Node{
+		"naive": NewLexScanNaive(cfg, query, 0.25, nil),
+		"qgram": NewLexScanQGram(cfg, query, 0.25, nil),
+	} {
+		rows, err := Collect(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(rows, cfg.IDCol); containsID(got, 0) || !containsID(got, 1) {
+			t.Errorf("%s plan for %v @0.25 = %v; want the query row and not RobertSharon", name, query, got)
+		}
+	}
+}
+
+// TestLexScanQGramAuxScanFallback covers the q-gram plan over an aux
+// table with neither a covering gram index nor an id index: the probe
+// scans the aux table and one heap scan fetches the candidates. It must
+// answer exactly as the naive plan.
+func TestLexScanQGramAuxScanFallback(t *testing.T) {
+	d := openDB(t)
+	_, ref, _ := lexFixture(t)
+	var texts []core.Text
+	rows, err := Collect(NewSeqScan(ref.Table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		texts = append(texts, core.Text{Value: r[ref.NameCol].S, Lang: r[ref.NameCol].Lang})
+	}
+	cfg, err := CreateNameTable(d, "names", ref.Op, texts, NameTableSpec{WithAux: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Aux == nil || cfg.CoverIndex != nil || cfg.IDIndex != nil {
+		t.Fatalf("fixture has aux %v, cover index %v, id index %v; want only the aux table", cfg.Aux != nil, cfg.CoverIndex != nil, cfg.IDIndex != nil)
+	}
+	for _, q := range texts {
+		if !cfg.Op.Registry().Has(q.Lang) {
+			continue
+		}
+		for _, thr := range []float64{0.1, 0.25, 0.4} {
+			naive, err := Collect(NewLexScanNaive(cfg, q, thr, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			qg, err := Collect(NewLexScanQGram(cfg, q, thr, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ids(naive, cfg.IDCol), ids(qg, cfg.IDCol)) {
+				t.Errorf("%v @%v: naive %v != qgram %v", q, thr, ids(naive, cfg.IDCol), ids(qg, cfg.IDCol))
+			}
+		}
+	}
+}

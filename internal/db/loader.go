@@ -86,7 +86,7 @@ type NameTableSpec struct {
 	// WithAux builds the <table>_qgrams auxiliary table (Figure 14).
 	WithAux bool
 	// WithIndexes builds the id index and the grouped-phoneme-id B-tree
-	// (Figure 15).
+	// (Figure 15), and with WithAux the covering gram index.
 	WithIndexes bool
 	// Q is the gram length (0 selects core.DefaultQ).
 	Q int
@@ -96,12 +96,14 @@ type NameTableSpec struct {
 // layout for texts:
 //
 //	<name>(id INT, name NSTRING, pname STRING, groupid INT)
-//	<name>_qgrams(id INT, pos INT, qgram STRING)        [spec.WithAux]
-//	<name>_id_idx on id, <name>_gid_idx on groupid      [spec.WithIndexes]
+//	<name>_qgrams(id INT, pos INT, qgram STRING, gramhash INT)  [spec.WithAux]
+//	<name>_id_idx on id, <name>_gid_idx on groupid              [spec.WithIndexes]
+//	<name>_qgrams_cover: gramhash -> (id, pos)                  [both]
 //
-// Rows whose language has no TTP converter get NULL pname/groupid and
-// never match (the NORESOURCE rows). Row ids are the positions in
-// texts.
+// pname holds the phoneme string's Spelling, which decodes back
+// exactly. Rows whose language has no TTP converter get NULL
+// pname/groupid and never match (the NORESOURCE rows). Row ids are the
+// positions in texts.
 func CreateNameTable(d *DB, name string, op *core.Operator, texts []core.Text, spec NameTableSpec) (*LexConfig, error) {
 	q := spec.Q
 	if q == 0 {
@@ -154,7 +156,9 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			if err != nil {
 				return nil, fmt.Errorf("db: load row %d (%s): %w", i, text, err)
 			}
-			row[2] = Str(p.IPA())
+			// Spelling, not IPA: the greedy decoder would read /t/+/ʃ/
+			// back as /tʃ/.
+			row[2] = Str(p.Spelling())
 			row[3] = Int(int64(enc.Encode(p)))
 			if aux != nil {
 				for _, g := range qgram.Extract(enc.Project(p), q) {
@@ -177,9 +181,6 @@ func createNameTableTx(d *DB, name string, op *core.Operator, texts []core.Text,
 			return nil, err
 		}
 		if spec.WithAux {
-			if _, err := d.CreateIndex(name+"_qgrams_hash_idx", name+"_qgrams", "gramhash"); err != nil {
-				return nil, err
-			}
 			// Covering index: gramhash -> (id, pos) packed into the
 			// value, so the gram probe never touches the aux heap (the
 			// index-only plan a real optimizer would use for Figure 14).

@@ -240,7 +240,7 @@ func (d *DB) autoEnd(tx *Tx, err error) error {
 		return err
 	}
 	if err != nil {
-		if rbErr := tx.Rollback(); rbErr != nil {
+		if rbErr := tx.Rollback(); rbErr != nil && !errors.Is(rbErr, errTxDone) {
 			return errors.Join(err, rbErr)
 		}
 		return err

@@ -251,6 +251,26 @@ func (s String) IPA() string {
 
 func (s String) String() string { return s.IPA() }
 
+// Spelling renders s as IPA text that ParseLenient reads back as s
+// exactly: s.IPA() whenever that round-trips, otherwise the IPA with the
+// ignorable syllable dot between phonemes. The greedy tokenizer fuses
+// some adjacent pairs into a longer inventory symbol (/t/+/ʃ/ reads back
+// as /tʃ/), so stored transcriptions use this form.
+func (s String) Spelling() string {
+	ipa := s.IPA()
+	if ParseLenient(ipa).Equal(s) {
+		return ipa
+	}
+	var b strings.Builder
+	for i, p := range s {
+		if i > 0 {
+			b.WriteByte('.')
+		}
+		b.WriteString(p.IPA())
+	}
+	return b.String()
+}
+
 // Equal reports element-wise equality.
 func (s String) Equal(t String) bool {
 	if len(s) != len(t) {

@@ -265,3 +265,37 @@ func TestSimilarityOrdering(t *testing.T) {
 		t.Error("i~iː should exceed i~u")
 	}
 }
+
+// TestSpellingRoundTripsInventoryPairs decodes the Spelling of every
+// phoneme and every ordered pair of the inventory: the greedy decoder
+// must read each back exactly, including pairs such as /t/+/ʃ/ whose
+// plain IPA fuses into a longer symbol.
+func TestSpellingRoundTripsInventoryPairs(t *testing.T) {
+	all := All()
+	fused := 0
+	for _, a := range all {
+		if got := ParseLenient(String{a}.Spelling()); !got.Equal(String{a}) {
+			t.Fatalf("%v: Spelling %q decodes to %v", a, String{a}.Spelling(), got)
+		}
+		for _, b := range all {
+			s := String{a, b}
+			if !ParseLenient(s.IPA()).Equal(s) {
+				fused++
+			}
+			if got := ParseLenient(s.Spelling()); !got.Equal(s) {
+				t.Fatalf("%v+%v: Spelling %q decodes to %v", a, b, s.Spelling(), got)
+			}
+		}
+	}
+	if fused == 0 {
+		t.Error("no inventory pair fuses under plain IPA; the dotted spelling is untested")
+	}
+	// A string that round-trips keeps its plain IPA.
+	if s := MustParse("neːru"); s.Spelling() != "neːru" {
+		t.Errorf("Spelling(neːru) = %q", s.Spelling())
+	}
+	ts := String{MustLookup("t"), MustLookup("ʃ")}
+	if got := ts.Spelling(); got != "t.ʃ" {
+		t.Errorf("Spelling(t+ʃ) = %q, want t.ʃ", got)
+	}
+}
