@@ -26,9 +26,19 @@ func crashTexts() []core.Text {
 	}
 }
 
+// crashLoad loads crashTexts and, in the same transaction, a plain
+// secondary index over the aux heap, so the sweep also faults an index
+// bulk-built from a second, already populated table.
 func crashLoad(d *DB, op *core.Operator) error {
-	_, err := CreateNameTable(d, "names", op, crashTexts(), NameTableSpec{WithAux: true, WithIndexes: true})
-	return err
+	tx, err := d.autoBegin()
+	if err != nil {
+		return err
+	}
+	_, err = CreateNameTable(d, "names", op, crashTexts(), NameTableSpec{WithAux: true, WithIndexes: true})
+	if err == nil {
+		_, err = d.CreateIndex("names_qgrams_gramhash_idx", "names_qgrams", "gramhash")
+	}
+	return d.autoEnd(tx, err)
 }
 
 // verifyReadable asserts that whatever the reopened database can read
